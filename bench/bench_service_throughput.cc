@@ -163,6 +163,8 @@ void Run(int argc, char** argv) {
   std::printf("Building synthetic Biozon (scale=%.2f)...\n", config.scale);
   std::unique_ptr<World> world = MakeWorld(config);
   std::vector<WorkItem> workload = BuildWorkload(world.get());
+  std::unique_ptr<shard::ScatterGatherExecutor> executor =
+      MakeSingleShardExecutor(world.get());
   std::printf("workload: %zu distinct (query, method) items, %zu sweeps "
               "per client\n\n",
               workload.size(), sweeps);
@@ -177,7 +179,7 @@ void Run(int argc, char** argv) {
     cold_config.num_threads = threads;
     cold_config.max_in_flight = 4096;
     cold_config.enable_cache = false;
-    service::TopologyService cold_svc(world->engine.get(), &world->db,
+    service::TopologyService cold_svc(executor.get(), &world->db,
                                       cold_config);
     PhaseResult cold = RunPhase(&cold_svc, workload, threads, sweeps);
     cold_svc.Shutdown();
@@ -186,7 +188,7 @@ void Run(int argc, char** argv) {
     service::ServiceConfig warm_config;
     warm_config.num_threads = threads;
     warm_config.max_in_flight = 4096;
-    service::TopologyService warm_svc(world->engine.get(), &world->db,
+    service::TopologyService warm_svc(executor.get(), &world->db,
                                       warm_config);
     RunPhase(&warm_svc, workload, 1, 1);
     PhaseResult warm = RunPhase(&warm_svc, workload, threads, sweeps);
@@ -227,7 +229,7 @@ void Run(int argc, char** argv) {
     service::ServiceConfig traced_config;
     traced_config.num_threads = threads;
     traced_config.max_in_flight = 4096;
-    service::TopologyService svc(world->engine.get(), &world->db,
+    service::TopologyService svc(executor.get(), &world->db,
                                  traced_config);
     RunPhase(&svc, workload, 1, 1);  // Pre-warm the cache.
 
@@ -261,7 +263,7 @@ void Run(int argc, char** argv) {
     service::ServiceConfig cost_config;
     cost_config.num_threads = threads;
     cost_config.max_in_flight = 4096;
-    service::TopologyService svc(world->engine.get(), &world->db,
+    service::TopologyService svc(executor.get(), &world->db,
                                  cost_config);
     RunPhase(&svc, workload, 1, 1);  // Pre-warm the cache.
 

@@ -17,6 +17,8 @@
 #include "engine/engine.h"
 #include "graph/data_graph.h"
 #include "graph/schema_graph.h"
+#include "shard/scatter_gather.h"
+#include "shard/sharded_store.h"
 #include "storage/catalog.h"
 
 namespace tsb {
@@ -55,6 +57,7 @@ struct World {
   std::unique_ptr<graph::SchemaGraph> schema;
   core::TopologyStore store;
   std::unique_ptr<engine::Engine> engine;
+  engine::SqlBaselineOptions sql_options;
   double build_seconds = 0.0;
   double prune_seconds = 0.0;
 
@@ -112,17 +115,32 @@ inline std::unique_ptr<World> MakeWorld(const WorldConfig& config) {
   }
   world->prune_seconds = prune_watch.ElapsedSeconds();
 
-  engine::SqlBaselineOptions sql_options;
-  sql_options.max_candidates = config.sql_max_candidates;
+  world->sql_options.max_candidates = config.sql_max_candidates;
   world->engine = std::make_unique<engine::Engine>(
       &world->db, &world->store, world->schema.get(), world->view.get(),
       core::ScoreModel(&world->store.catalog(),
                        biozon::MakeBiozonDomainKnowledge(world->ids)),
-      sql_options);
+      world->sql_options);
   for (const auto& [a, b] : config.pairs) {
     world->engine->PrepareIndexes(a, b);
   }
   return world;
+}
+
+/// The world's store served as a 1-shard ScatterGatherExecutor — the
+/// backend a TopologyService runs over. The shard aliases world->store
+/// without owning it, so the world must outlive the executor. Its one
+/// shard engine shares the world's tables and indexes.
+inline std::unique_ptr<shard::ScatterGatherExecutor> MakeSingleShardExecutor(
+    World* world) {
+  std::shared_ptr<core::TopologyStore> store(std::shared_ptr<void>(),
+                                             &world->store);
+  return std::make_unique<shard::ScatterGatherExecutor>(
+      &world->db,
+      std::make_shared<shard::ShardedTopologyStore>(
+          std::vector<std::shared_ptr<core::TopologyStore>>{store}),
+      world->schema.get(), world->view.get(),
+      biozon::MakeBiozonDomainKnowledge(world->ids), world->sql_options);
 }
 
 /// Accumulates ExecStats across runs (ExecStats::operator+=) with a run

@@ -167,6 +167,8 @@ void Run(int argc, char** argv) {
   std::printf("Building synthetic Biozon (scale=%.2f)...\n", config.scale);
   std::unique_ptr<World> world = MakeWorld(config);
   std::vector<WorkItem> workload = InteractiveWorkload(world.get());
+  std::unique_ptr<shard::ScatterGatherExecutor> executor =
+      MakeSingleShardExecutor(world.get());
 
   service::ServiceConfig svc_config;
   svc_config.num_threads = threads;
@@ -179,16 +181,16 @@ void Run(int argc, char** argv) {
   // queueing isolation can't fix core scarcity.
   svc_config.max_concurrent_batch = std::max<size_t>(1, threads / 4);
   // Warm the engine-side paths (indexes, allocator, OS caches) on a
-  // throwaway service, so neither phase's latency reservoir contains
+  // throwaway service, so neither phase's latency histogram contains
   // warm-up samples — the measured p95s cover only their own regime.
   {
-    service::TopologyService warmup(world->engine.get(), &world->db,
+    service::TopologyService warmup(executor.get(), &world->db,
                                     svc_config);
     RunInteractive(&warmup, workload, clients, 1);
   }
 
   // --- Phase A: batch-free interactive baseline ---------------------------
-  service::TopologyService svc(world->engine.get(), &world->db, svc_config);
+  service::TopologyService svc(executor.get(), &world->db, svc_config);
   InteractivePhase baseline =
       RunInteractive(&svc, workload, clients, sweeps);
   std::printf("\nbatch-free interactive: %zu requests, p50 %.3fms, "
@@ -212,10 +214,10 @@ void Run(int argc, char** argv) {
     flood.push_back(std::move(request));
   }
 
-  // A fresh service with identical config: its latency reservoir holds
+  // A fresh service with identical config: its latency histogram holds
   // only samples taken while the flood is live (no public metrics-reset
   // hook, and no warm-up sweep here — see the throwaway warm-up above).
-  service::TopologyService mixed_svc(world->engine.get(), &world->db,
+  service::TopologyService mixed_svc(executor.get(), &world->db,
                                      svc_config);
   FloodSink flood_sink;
   mixed_svc.SubmitStream(std::move(flood), flood_sink);

@@ -2,11 +2,12 @@
 // Computation (with a larger l) behind concurrent query traffic and swaps
 // the new epoch in atomically — "rebuild continuously while serving".
 //
-// Shows the staged pipeline end to end: build an initial l=2 store through
-// a StoreHandle, serve queries from client threads, then Rebuild() with
-// l=3 — stage steps fan out over the same worker pool the queries run on,
-// commits happen in canonical pair order, the handle swap retires the old
-// epoch, and its tables drop once the last in-flight snapshot releases.
+// Shows the staged pipeline end to end: build an initial l=2 store, serve
+// it as a 1-shard executor to queries from client threads, then Rebuild()
+// with l=3 — stage steps fan out over the same worker pool the queries run
+// on, commits happen in canonical pair order, the shard's epoch swap
+// retires the old store, and its tables drop once the last in-flight
+// snapshot releases.
 //
 // Build & run:  ./build/examples/live_rebuild
 
@@ -20,16 +21,16 @@
 #include "biozon/fig3.h"
 #include "core/builder.h"
 #include "core/pruner.h"
-#include "engine/engine.h"
 #include "graph/data_graph.h"
 #include "graph/schema_graph.h"
 #include "service/service.h"
+#include "shard/scatter_gather.h"
+#include "shard/sharded_store.h"
 
 int main() {
   using namespace tsb;
 
-  // 1. Database plus an initial shallow (l=2) precompute epoch, owned by a
-  //    StoreHandle so it can be swapped later.
+  // 1. Database plus an initial shallow (l=2) precompute epoch.
   storage::Catalog db;
   biozon::BiozonSchema ids = biozon::BuildFigure3Database(&db);
   graph::DataGraphView view(db);
@@ -47,20 +48,21 @@ int main() {
                                             key.second, prune)
                   .ok());
   }
-  auto handle = std::make_shared<core::StoreHandle>(initial);
   std::printf("epoch 0 (l=2): %zu pairs, %zu topologies\n",
               initial->pairs().size(), initial->catalog().size());
-  initial.reset();  // The handle owns the epoch from here on.
 
-  // 2. Engine + service over the handle; AttachLiveStore enables Rebuild.
-  engine::Engine engine(&db, handle, &schema, &view,
-                        core::ScoreModel(
-                            &handle->Snapshot()->catalog(),
-                            biozon::MakeBiozonDomainKnowledge(ids)));
+  // 2. A 1-shard executor over the store, and the service over it. The
+  //    shard's StoreHandle owns the epoch from here on, so Rebuild can
+  //    swap it and retire the old one.
+  shard::ScatterGatherExecutor executor(
+      &db,
+      std::make_shared<shard::ShardedTopologyStore>(
+          std::vector<std::shared_ptr<core::TopologyStore>>{
+              std::move(initial)}),
+      &schema, &view, biozon::MakeBiozonDomainKnowledge(ids));
   service::ServiceConfig config;
   config.num_threads = 4;
-  service::TopologyService svc(&engine, &db, config);
-  TSB_CHECK(svc.AttachLiveStore(&schema, &view).ok());
+  service::TopologyService svc(&executor, &db, config);
 
   // 3. Client threads hammer the service across the swap.
   const char* line =

@@ -1,9 +1,10 @@
 // Service demo: the Figure-3 micro-database served as a shared,
 // concurrent query service (src/service/) driven by text requests.
 //
-// Shows the full serving loop: build once, start TopologyService, answer
-// Example 2.1 through the text frontend, repeat it to hit the result
-// cache, fan out a batch, and print the serving metrics.
+// Shows the full serving loop: build once, serve the store as a 1-shard
+// executor, start TopologyService over it, answer Example 2.1 through the
+// text frontend, repeat it to hit the result cache, fan out a batch, and
+// print the serving metrics.
 //
 // Build & run:  ./build/examples/service_demo
 
@@ -13,10 +14,11 @@
 #include "biozon/fig3.h"
 #include "core/builder.h"
 #include "core/pruner.h"
-#include "engine/engine.h"
 #include "graph/data_graph.h"
 #include "graph/schema_graph.h"
 #include "service/service.h"
+#include "shard/scatter_gather.h"
+#include "shard/sharded_store.h"
 
 int main() {
   using namespace tsb;
@@ -27,27 +29,30 @@ int main() {
   biozon::BiozonSchema ids = biozon::BuildFigure3Database(&db);
   graph::DataGraphView view(db);
   graph::SchemaGraph schema(db);
-  core::TopologyStore store;
+  auto store = std::make_shared<core::TopologyStore>();
   core::TopologyBuilder builder(&db, &schema, &view);
   core::BuildConfig build;
   build.max_path_length = 3;
-  TSB_CHECK(builder.BuildPair(ids.protein, ids.dna, build, &store).ok());
+  TSB_CHECK(
+      builder.BuildPair(ids.protein, ids.dna, build, store.get()).ok());
   core::PruneConfig prune;
   prune.frequency_threshold = 0;
-  TSB_CHECK(core::PruneFrequentTopologies(&db, &store, ids.protein, ids.dna,
-                                          prune)
+  TSB_CHECK(core::PruneFrequentTopologies(&db, store.get(), ids.protein,
+                                          ids.dna, prune)
                 .ok());
-  engine::Engine engine(&db, &store, &schema, &view,
-                        core::ScoreModel(
-                            &store.catalog(),
-                            biozon::MakeBiozonDomainKnowledge(ids)));
-  engine.PrepareIndexes("Protein", "DNA");
 
-  // 2. Start the service: a worker pool, a sharded result cache, and the
-  //    text frontend.
+  // 2. Serve the store as a 1-shard executor (every query routes to the
+  //    one shard engine, inline), then start the service over it: a
+  //    worker pool, a sharded result cache, and the text frontend.
+  shard::ScatterGatherExecutor executor(
+      &db,
+      std::make_shared<shard::ShardedTopologyStore>(
+          std::vector<std::shared_ptr<core::TopologyStore>>{store}),
+      &schema, &view, biozon::MakeBiozonDomainKnowledge(ids));
+  executor.PrepareIndexes("Protein", "DNA");
   service::ServiceConfig config;
   config.num_threads = 4;
-  service::TopologyService svc(&engine, &db, config);
+  service::TopologyService svc(&executor, &db, config);
   std::printf("service up: %zu worker threads, %zuMB cache\n\n",
               svc.num_threads(), config.cache.max_bytes >> 20);
 
@@ -61,7 +66,7 @@ int main() {
   for (const auto& entry : cold.result->entries) {
     std::printf("  T%lld  score=%.1f  %s\n",
                 static_cast<long long>(entry.tid), entry.score,
-                store.catalog().Describe(entry.tid, schema).c_str());
+                store->catalog().Describe(entry.tid, schema).c_str());
   }
   std::printf("  [cold: %.3f ms, from_cache=%d]\n\n",
               cold.service_seconds * 1e3, cold.from_cache);

@@ -34,19 +34,20 @@ int main() {
   biozon::BiozonSchema ids = biozon::BuildFigure3Database(&db);
   graph::DataGraphView view(db);
   graph::SchemaGraph schema(db);
-  core::TopologyStore store;
+  auto store = std::make_shared<core::TopologyStore>();
   core::TopologyBuilder builder(&db, &schema, &view);
   core::BuildConfig build;
   build.max_path_length = 3;
-  TSB_CHECK(builder.BuildPair(ids.protein, ids.dna, build, &store).ok());
+  TSB_CHECK(
+      builder.BuildPair(ids.protein, ids.dna, build, store.get()).ok());
   core::PruneConfig prune;
   prune.frequency_threshold = 0;
-  TSB_CHECK(core::PruneFrequentTopologies(&db, &store, ids.protein, ids.dna,
-                                          prune)
+  TSB_CHECK(core::PruneFrequentTopologies(&db, store.get(), ids.protein,
+                                          ids.dna, prune)
                 .ok());
-  engine::Engine engine(&db, &store, &schema, &view,
+  engine::Engine engine(&db, store.get(), &schema, &view,
                         core::ScoreModel(
-                            &store.catalog(),
+                            &store->catalog(),
                             biozon::MakeBiozonDomainKnowledge(ids)));
 
   // 2. The text codec: parse a request line, then Format() it back to its
@@ -82,9 +83,15 @@ int main() {
 
   // 4. The streaming service surface: a mixed-priority stream through a
   //    StreamSink; frames arrive in completion order, interactive first.
+  //    The service serves the store as a 1-shard executor.
+  shard::ScatterGatherExecutor single(
+      &db,
+      std::make_shared<shard::ShardedTopologyStore>(
+          std::vector<std::shared_ptr<core::TopologyStore>>{store}),
+      &schema, &view, biozon::MakeBiozonDomainKnowledge(ids));
   service::ServiceConfig config;
   config.num_threads = 2;
-  service::TopologyService svc(&engine, &db, config);
+  service::TopologyService svc(&single, &db, config);
 
   class PrintingSink : public wire::StreamSink {
    public:

@@ -432,8 +432,8 @@ std::vector<PairBuildStaging> SplitStagingForShards(
   for (size_t i = 0; i < num_shards; ++i) {
     PairBuildStaging slice = replicated;
     PairTopologyData& data = slice.data;
-    data.table_namespace =
-        storage::ShardNamespace(staging.data.table_namespace, i);
+    data.table_namespace = storage::ShardNamespace(
+        staging.data.table_namespace, i, num_shards);
     data.alltops_table = data.table_namespace + "AllTops_" + data.pair_name;
     data.pairclasses_table =
         data.table_namespace + "PairClasses_" + data.pair_name;

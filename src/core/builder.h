@@ -143,7 +143,7 @@ class TopologyBuilder {
   /// are identical to each other and to an unsharded build's catalog —
   /// TIDs are globally consistent, and per-shard freq maps stay *global*
   /// (scores must not depend on which shard scores them). Tables land
-  /// under storage::ShardNamespace(config.table_namespace, i).
+  /// under storage::ShardNamespace(config.table_namespace, i, N).
   Status BuildAllPairs(const BuildConfig& config,
                        const std::vector<TopologyStore*>& shards,
                        service::ThreadPool* pool = nullptr);
@@ -180,7 +180,8 @@ class TopologyBuilder {
 ///   - PairClasses rows (so per-shard pruning derives the *complete*
 ///     exception table — the online pruned check consults it against the
 ///     shared data graph, which is not sharded).
-/// Slice i's tables are renamed under ShardNamespace(base namespace, i).
+/// Slice i's tables are renamed under ShardNamespace(base namespace, i,
+/// num_shards).
 std::vector<PairBuildStaging> SplitStagingForShards(
     const PairBuildStaging& staging, size_t num_shards);
 

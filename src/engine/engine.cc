@@ -61,9 +61,7 @@ Engine::Engine(storage::Catalog* db, core::TopologyStore* store,
                  // Non-owning: the caller keeps ownership of `store`.
                  std::shared_ptr<core::TopologyStore>(
                      store, [](core::TopologyStore*) {})),
-             schema, view, std::move(score_model), sql_options) {
-  swappable_store_ = false;
-}
+             schema, view, std::move(score_model), sql_options) {}
 
 Engine::Engine(storage::Catalog* db,
                std::shared_ptr<core::StoreHandle> store,

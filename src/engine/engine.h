@@ -86,18 +86,6 @@ class Engine {
       const TopologyQuery& query, core::Tid tid,
       const core::RetrievalLimits& limits = core::RetrievalLimits{}) const;
 
-  /// The handle every query reads through; the service swaps rebuilt
-  /// stores via this handle so engine and service stay in lockstep.
-  const std::shared_ptr<core::StoreHandle>& store_handle() const {
-    return store_handle_;
-  }
-
-  /// True when the engine was constructed over a shared_ptr StoreHandle
-  /// (heap-owned stores). False for the legacy raw-pointer constructor,
-  /// whose non-owning wrapper cannot honor the retired-epoch cleanup
-  /// contract — the service refuses live rebuilds on such engines.
-  bool store_is_swappable() const { return swappable_store_; }
-
   const core::DomainKnowledge& knowledge() const { return knowledge_; }
 
   /// Column offsets of the ET group-source schema ("TI.TID", "TI.SCORE"),
@@ -133,7 +121,6 @@ class Engine {
   const graph::DataGraphView* view_;
   core::DomainKnowledge knowledge_;
   SqlBaselineOptions sql_options_;
-  bool swappable_store_ = true;
 
   /// Cached snapshot for the current epoch, rebuilt lazily after a swap.
   mutable std::shared_mutex snapshot_mu_;

@@ -512,16 +512,11 @@ Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch) {
     core::PairBuildStaging staging;
     TSB_ASSIGN_OR_RETURN(staging,
                          builder.StagePair(key.first, key.second, cfg));
-    if (nshards == 1) {
-      TSB_RETURN_IF_ERROR(builder.CommitStaged(std::move(staging),
-                                               next[0].get()));
-    } else {
-      std::vector<core::PairBuildStaging> slices =
-          core::SplitStagingForShards(staging, nshards);
-      for (size_t s = 0; s < nshards; ++s) {
-        TSB_RETURN_IF_ERROR(
-            builder.CommitStaged(std::move(slices[s]), next[s].get()));
-      }
+    std::vector<core::PairBuildStaging> slices =
+        core::SplitStagingForShards(staging, nshards);
+    for (size_t s = 0; s < nshards; ++s) {
+      TSB_RETURN_IF_ERROR(
+          builder.CommitStaged(std::move(slices[s]), next[s].get()));
     }
     if (prev_pair != nullptr && prev_pair->pruned) {
       core::PruneConfig prune;
@@ -635,8 +630,7 @@ Result<CompactionStats> MutationEngine::CompactLocked() {
   // namespace, rebuild slices, swap — with a pause between pair folds so
   // interactive traffic on this core never sees a long stall.
   for (size_t s = 0; s < nshards; ++s) {
-    const std::string ns =
-        nshards == 1 ? base_ns : storage::ShardNamespace(base_ns, s);
+    const std::string ns = storage::ShardNamespace(base_ns, s, nshards);
     auto next = std::make_shared<core::TopologyStore>();
     next->adopt_catalog(prev[s]->shared_catalog());
     for (const auto& [base, folded] : overrides) {

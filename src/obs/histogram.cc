@@ -59,6 +59,18 @@ double LatencyHistogram::Quantile(double q) const {
   return max_;
 }
 
+SummaryValue LatencyHistogram::Summarize() const {
+  SummaryValue s;
+  s.count = count_;
+  if (count_ == 0) return s;
+  s.mean = sum_ / static_cast<double>(count_);
+  s.p50 = Quantile(0.50);
+  s.p95 = Quantile(0.95);
+  s.p99 = Quantile(0.99);
+  s.max = max_;
+  return s;
+}
+
 std::vector<std::pair<double, uint64_t>>
 LatencyHistogram::CumulativeBuckets() const {
   std::vector<std::pair<double, uint64_t>> out;

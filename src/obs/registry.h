@@ -18,8 +18,8 @@ namespace obs {
 /// The registry owns nothing and samples lazily — Collect walks live
 /// snapshot state on demand, so registration is free on the hot path.
 
-/// A latency summary sample (mirrors service::LatencyReservoir::Summary
-/// without depending on it; conversion is field-by-field).
+/// A latency summary sample (obs::LatencyHistogram::Summarize): exact
+/// count/mean/max, bucket-resolution quantiles.
 struct SummaryValue {
   uint64_t count = 0;
   double mean = 0.0;

@@ -22,46 +22,6 @@ obs::HistogramValue HistValue(const obs::LatencyHistogram& hist) {
 
 }  // namespace
 
-void LatencyReservoir::Record(double seconds) {
-  ++count_;
-  sum_ += seconds;
-  max_ = std::max(max_, seconds);
-  if (sample_.size() < kCapacity) {
-    sample_.push_back(seconds);
-    return;
-  }
-  // Algorithm-R style replacement with a deterministic slot draw: the
-  // multiplicative hash spreads the counter uniformly over [0, count_).
-  uint64_t draw = (count_ * 0x9e3779b97f4a7c15ULL) >> 11;
-  uint64_t pos = draw % count_;
-  if (pos < kCapacity) sample_[pos] = seconds;
-}
-
-LatencyReservoir::Summary LatencyReservoir::Summarize() const {
-  Summary s;
-  s.count = count_;
-  if (count_ == 0) return s;
-  s.mean = sum_ / static_cast<double>(count_);
-  s.max = max_;
-  std::vector<double> sorted = sample_;
-  std::sort(sorted.begin(), sorted.end());
-  auto percentile = [&sorted](double p) {
-    size_t idx = static_cast<size_t>(p * static_cast<double>(sorted.size()));
-    return sorted[std::min(idx, sorted.size() - 1)];
-  };
-  s.p50 = percentile(0.50);
-  s.p95 = percentile(0.95);
-  s.p99 = percentile(0.99);
-  return s;
-}
-
-void LatencyReservoir::Reset() {
-  sample_.clear();
-  count_ = 0;
-  sum_ = 0.0;
-  max_ = 0.0;
-}
-
 std::string ServiceMetrics::SlotName(size_t slot) {
   if (slot == kTripleSlot) return "Triple";
   return engine::MethodKindToString(static_cast<engine::MethodKind>(slot));
@@ -75,7 +35,6 @@ void ServiceMetrics::RecordRequest(size_t slot, double seconds,
   ++s.requests;
   if (cache_hit) ++s.cache_hits;
   if (!ok) ++s.errors;
-  s.latency.Record(seconds);
   s.latency_hist.Record(seconds);
 }
 
@@ -117,7 +76,6 @@ void ServiceMetrics::RecordCancelled(size_t cls) {
 void ServiceMetrics::RecordClassLatency(size_t cls, double seconds) {
   TSB_CHECK_LT(cls, kNumClasses);
   std::lock_guard<std::mutex> lock(classes_[cls].mu);
-  classes_[cls].latency.Record(seconds);
   classes_[cls].latency_hist.Record(seconds);
 }
 
@@ -141,7 +99,6 @@ void ServiceMetrics::Reset() {
     s.requests = 0;
     s.cache_hits = 0;
     s.errors = 0;
-    s.latency.Reset();
     s.latency_hist.Reset();
     s.cost = obs::CostCounters{};
   }
@@ -151,7 +108,6 @@ void ServiceMetrics::Reset() {
     c.rejected = 0;
     c.deadline_shed = 0;
     c.cancelled = 0;
-    c.latency.Reset();
     c.latency_hist.Reset();
   }
   {
@@ -179,7 +135,7 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
     row.requests = s.requests;
     row.cache_hits = s.cache_hits;
     row.errors = s.errors;
-    row.latency = s.latency.Summarize();
+    row.latency = s.latency_hist.Summarize();
     row.latency_hist = s.latency_hist;
     row.cost = s.cost;
     snap.total_requests += row.requests;
@@ -197,7 +153,7 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
     row.rejected = c.rejected;
     row.deadline_shed = c.deadline_shed;
     row.cancelled = c.cancelled;
-    row.latency = c.latency.Summarize();
+    row.latency = c.latency_hist.Summarize();
     row.latency_hist = c.latency_hist;
     snap.classes.push_back(std::move(row));
   }
@@ -298,7 +254,6 @@ void TransportMetrics::RecordRoundTrip(size_t shard, uint64_t bytes_sent,
   if (!ok) ++s.failures;
   s.bytes_sent += bytes_sent;
   s.bytes_received += bytes_received;
-  s.rtt.Record(rtt_seconds);
   s.rtt_hist.Record(rtt_seconds);
 }
 
@@ -321,15 +276,17 @@ TransportMetricsSnapshot TransportMetrics::Snapshot() const {
     row.bytes_sent = s.bytes_sent;
     row.bytes_received = s.bytes_received;
     row.reconnects = s.reconnects;
-    row.rtt = s.rtt.Summarize();
+    row.rtt = s.rtt_hist.Summarize();
     row.rtt_hist = s.rtt_hist;
     snap.total.requests += row.requests;
     snap.total.failures += row.failures;
     snap.total.bytes_sent += row.bytes_sent;
     snap.total.bytes_received += row.bytes_received;
     snap.total.reconnects += row.reconnects;
+    snap.total.rtt_hist.Merge(row.rtt_hist);
     snap.shards.push_back(std::move(row));
   }
+  snap.total.rtt = snap.total.rtt_hist.Summarize();
   return snap;
 }
 
@@ -342,7 +299,6 @@ void TransportMetrics::Reset() {
     s.bytes_sent = 0;
     s.bytes_received = 0;
     s.reconnects = 0;
-    s.rtt.Reset();
     s.rtt_hist.Reset();
   }
 }
@@ -416,7 +372,6 @@ void ReplicaMetrics::RecordOutcome(size_t shard, size_t replica,
                      ? rtt_seconds
                      : kEwmaAlpha * rtt_seconds +
                            (1.0 - kEwmaAlpha) * r.rtt_ewma;
-    r.rtt.Record(rtt_seconds);
     r.rtt_hist.Record(rtt_seconds);
   }
   ShardSlot& s = shards_[shard];
@@ -496,7 +451,7 @@ double ReplicaMetrics::ShardRttP95(size_t shard,
   const ShardSlot& s = shards_[shard];
   std::lock_guard<std::mutex> lock(s.mu);
   if (s.shard_attempts < min_samples) return 0.0;
-  return s.shard_rtt.Summarize().p95;
+  return s.shard_rtt.Quantile(0.95);
 }
 
 ReplicaMetricsSnapshot ReplicaMetrics::Snapshot() const {
@@ -525,7 +480,7 @@ ReplicaMetricsSnapshot ReplicaMetrics::Snapshot() const {
       row.quarantines = r.quarantines;
       row.outstanding = r.outstanding.load(std::memory_order_relaxed);
       row.rtt_ewma = r.rtt_ewma;
-      row.rtt = r.rtt.Summarize();
+      row.rtt = r.rtt_hist.Summarize();
       row.rtt_hist = r.rtt_hist;
       shard_row.replicas.push_back(std::move(row));
     }
@@ -556,7 +511,6 @@ void ReplicaMetrics::Reset() {
       r.reinstatements = 0;
       r.quarantines = 0;
       r.rtt_ewma = 0.0;
-      r.rtt.Reset();
       r.rtt_hist.Reset();
       // outstanding is owned by in-flight attempts; leave the gauge alone.
     }
@@ -619,7 +573,7 @@ void ServiceMetrics::Collect(obs::MetricsSink* sink) const {
                   static_cast<double>(row.errors));
     sink->Summary("tsb_service_latency_seconds",
                   "End-to-end service latency", labels,
-                  row.latency.ToSummaryValue());
+                  row.latency);
     sink->Histogram("tsb_service_latency_hist_seconds",
                     "End-to-end service latency (mergeable buckets)",
                     labels, HistValue(row.latency_hist));
@@ -652,7 +606,7 @@ void ServiceMetrics::Collect(obs::MetricsSink* sink) const {
                   static_cast<double>(row.cancelled));
     sink->Summary("tsb_service_class_latency_seconds",
                   "End-to-end latency per admission class", labels,
-                  row.latency.ToSummaryValue());
+                  row.latency);
     sink->Histogram("tsb_service_class_latency_hist_seconds",
                     "Per-class latency (mergeable buckets)", labels,
                     HistValue(row.latency_hist));
@@ -700,7 +654,7 @@ void TransportMetrics::Collect(obs::MetricsSink* sink) const {
                   static_cast<double>(row.reconnects));
     sink->Summary("tsb_transport_rtt_seconds",
                   "Send-to-response round-trip time", labels,
-                  row.rtt.ToSummaryValue());
+                  row.rtt);
     sink->Histogram("tsb_transport_rtt_hist_seconds",
                     "Round-trip time (mergeable buckets)", labels,
                     HistValue(row.rtt_hist));
@@ -747,7 +701,7 @@ void ReplicaMetrics::Collect(obs::MetricsSink* sink) const {
       sink->Gauge("tsb_replica_rtt_ewma_seconds",
                   "Load-routing RTT EWMA", labels, row.rtt_ewma);
       sink->Summary("tsb_replica_rtt_seconds", "Attempt round-trip time",
-                    labels, row.rtt.ToSummaryValue());
+                    labels, row.rtt);
       sink->Histogram("tsb_replica_rtt_hist_seconds",
                       "Attempt round-trip time (mergeable buckets)",
                       labels, HistValue(row.rtt_hist));

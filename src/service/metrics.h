@@ -18,48 +18,6 @@
 namespace tsb {
 namespace service {
 
-/// Fixed-size reservoir sample of latencies with exact count/sum/max.
-/// Replacement uses a deterministic multiplicative hash of the observation
-/// counter — statistically uniform, reproducible, and lock-cheap (callers
-/// hold the owning mutex).
-class LatencyReservoir {
- public:
-  static constexpr size_t kCapacity = 512;
-
-  void Record(double seconds);
-
-  struct Summary {
-    uint64_t count = 0;
-    double mean = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    double max = 0.0;
-
-    /// The registry-facing view of this summary (field-by-field copy).
-    obs::SummaryValue ToSummaryValue() const {
-      obs::SummaryValue value;
-      value.count = count;
-      value.mean = mean;
-      value.p50 = p50;
-      value.p95 = p95;
-      value.p99 = p99;
-      value.max = max;
-      return value;
-    }
-  };
-  /// Percentiles come from the reservoir sample; count/mean/max are exact.
-  Summary Summarize() const;
-
-  void Reset();
-
- private:
-  std::vector<double> sample_;
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Per-method serving counters. One row per engine method plus one for
 /// 3-queries (kTripleSlot).
 struct MethodStatsSnapshot {
@@ -67,9 +25,9 @@ struct MethodStatsSnapshot {
   uint64_t requests = 0;     // Admitted requests (hits + executions).
   uint64_t cache_hits = 0;
   uint64_t errors = 0;       // Admitted but failed in the engine.
-  LatencyReservoir::Summary latency;  // End-to-end service latency.
-  /// Same latencies in fixed log buckets: unlike the reservoir summary,
+  /// End-to-end service latency: the summary of latency_hist, whose
   /// bucket counts merge exactly across processes (`topctl top`).
+  obs::SummaryValue latency;
   obs::LatencyHistogram latency_hist;
   /// Aggregate resource bill for this method (obs::CostTracker).
   obs::CostCounters cost;
@@ -82,8 +40,8 @@ struct PriorityClassSnapshot {
   uint64_t rejected = 0;       // Bounced: class queue at its bound.
   uint64_t deadline_shed = 0;  // Dequeued after the deadline expired.
   uint64_t cancelled = 0;      // Stream cancelled before execution.
-  LatencyReservoir::Summary latency;  // End-to-end, executed requests.
-  obs::LatencyHistogram latency_hist;  // Mergeable bucket view.
+  obs::SummaryValue latency;  // End-to-end, executed requests.
+  obs::LatencyHistogram latency_hist;  // The buckets behind `latency`.
 };
 
 struct MetricsSnapshot {
@@ -96,11 +54,10 @@ struct MetricsSnapshot {
   /// One row per admission class (always both, traffic or not).
   std::vector<PriorityClassSnapshot> classes;
 
-  /// Per-shard AllTops row counts (sharded services only; refreshed on
-  /// construction and after every sharded rebuild) and the skew factor
-  /// max/mean — 1.0 is perfectly balanced, 0 when unsharded/empty. The
-  /// first half of the ROADMAP shard-rebalancing item: observe the skew
-  /// before acting on it.
+  /// Per-shard AllTops row counts (refreshed on construction and after
+  /// every rebuild) and the skew factor max/mean — 1.0 is perfectly
+  /// balanced, 0 when empty. The first half of the ROADMAP
+  /// shard-rebalancing item: observe the skew before acting on it.
   std::vector<uint64_t> shard_rows;
   double shard_skew = 0.0;
 
@@ -115,7 +72,7 @@ struct MetricsSnapshot {
 };
 
 /// Thread-safe serving metrics: requests, cache hits, errors, rejections,
-/// and per-method p50/p95/p99 latency via reservoir sampling.
+/// and per-method p50/p95/p99 latency from log-bucket histograms.
 ///
 /// Also an obs::MetricsSource: registered with a process's
 /// obs::MetricsRegistry it exports every counter under tsb_service_*
@@ -165,7 +122,6 @@ class ServiceMetrics : public obs::MetricsSource {
     uint64_t requests = 0;
     uint64_t cache_hits = 0;
     uint64_t errors = 0;
-    LatencyReservoir latency;
     obs::LatencyHistogram latency_hist;
     obs::CostCounters cost;
   };
@@ -176,7 +132,6 @@ class ServiceMetrics : public obs::MetricsSource {
     uint64_t rejected = 0;
     uint64_t deadline_shed = 0;
     uint64_t cancelled = 0;
-    LatencyReservoir latency;
     obs::LatencyHistogram latency_hist;
   };
 
@@ -199,14 +154,14 @@ struct TransportShardSnapshot {
   uint64_t bytes_sent = 0;      // Encoded request frame bytes.
   uint64_t bytes_received = 0;  // Encoded response frame bytes.
   uint64_t reconnects = 0;      // Successful dials after a failure.
-  LatencyReservoir::Summary rtt;  // Send-to-response round-trip time.
-  obs::LatencyHistogram rtt_hist;  // Mergeable bucket view of the same.
+  obs::SummaryValue rtt;  // Send-to-response round-trip time.
+  obs::LatencyHistogram rtt_hist;  // The buckets behind `rtt`.
 };
 
 struct TransportMetricsSnapshot {
   std::vector<TransportShardSnapshot> shards;
-  /// Sums over shards (rtt percentiles are omitted from the total row —
-  /// per-shard reservoirs do not merge exactly).
+  /// Sums over shards; the rtt histograms merge exactly, so the total
+  /// row's rtt summary covers every shard's round-trips.
   TransportShardSnapshot total;
 
   /// Multi-line human-readable table (one row per shard with traffic).
@@ -248,7 +203,6 @@ class TransportMetrics : public obs::MetricsSource {
     uint64_t bytes_sent = 0;
     uint64_t bytes_received = 0;
     uint64_t reconnects = 0;
-    LatencyReservoir rtt;
     obs::LatencyHistogram rtt_hist;
   };
 
@@ -269,8 +223,8 @@ struct ReplicaSnapshot {
   uint64_t quarantines = 0;    // Stale-epoch quarantine entries.
   uint64_t outstanding = 0;    // In-flight right now (gauge).
   double rtt_ewma = 0.0;       // Load-routing signal (seconds).
-  LatencyReservoir::Summary rtt;
-  obs::LatencyHistogram rtt_hist;  // Mergeable bucket view.
+  obs::SummaryValue rtt;
+  obs::LatencyHistogram rtt_hist;  // The buckets behind `rtt`.
 };
 
 struct ReplicaShardSnapshot {
@@ -351,7 +305,6 @@ class ReplicaMetrics : public obs::MetricsSource {
     uint64_t quarantines = 0;
     std::atomic<uint64_t> outstanding{0};
     double rtt_ewma = 0.0;
-    LatencyReservoir rtt;
     obs::LatencyHistogram rtt_hist;
   };
 
@@ -361,7 +314,7 @@ class ReplicaMetrics : public obs::MetricsSource {
     uint64_t hedges_launched = 0;
     uint64_t failovers = 0;
     uint64_t exhausted = 0;
-    LatencyReservoir shard_rtt;  // Pooled over replicas (hedge base).
+    obs::LatencyHistogram shard_rtt;  // Pooled over replicas (hedge base).
     uint64_t shard_attempts = 0;
   };
 

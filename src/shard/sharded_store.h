@@ -83,7 +83,7 @@ class ShardedTopologyStore {
 
   /// Builds all pairs into the current shard stores with the shard-aware
   /// TopologyBuilder overload; tables land under
-  /// storage::ShardNamespace(config.table_namespace, i) per shard.
+  /// storage::ShardNamespace(config.table_namespace, i, N) per shard.
   Status Build(core::TopologyBuilder* builder,
                const core::BuildConfig& config,
                service::ThreadPool* pool = nullptr);

@@ -6,7 +6,9 @@
 namespace tsb {
 namespace storage {
 
-std::string ShardNamespace(const std::string& base, size_t shard) {
+std::string ShardNamespace(const std::string& base, size_t shard,
+                           size_t num_shards) {
+  if (num_shards == 1) return base;
   return base + "s" + std::to_string(shard) + ".";
 }
 

@@ -43,13 +43,16 @@ struct RelationshipSetDef {
   EntityTypeId to_type;
 };
 
-/// Composes the table-name namespace of one store shard under a base
-/// prefix, e.g. ("e3.", 1) -> "e3.s1.". Every precompute table of shard i
-/// lives under this prefix, so N shards (and successive epochs of each)
-/// coexist in one Catalog without name collisions. The shard segment sits
-/// *inside* the epoch segment: a live rebuild stages "e4.s0." .. "e4.sN."
-/// next to the serving "e3.s0." .. "e3.sN." tables.
-std::string ShardNamespace(const std::string& base, size_t shard);
+/// Composes the table-name namespace of shard `shard` of `num_shards`
+/// under a base prefix, e.g. ("e3.", 1, 4) -> "e3.s1.". Every precompute
+/// table of shard i lives under this prefix, so N shards (and successive
+/// epochs of each) coexist in one Catalog without name collisions. The
+/// shard segment sits *inside* the epoch segment: a live rebuild stages
+/// "e4.s0." .. "e4.sN." next to the serving "e3.s0." .. "e3.sN." tables.
+/// A single shard owns every row, so it keeps the base namespace: its
+/// tables are named exactly like an unsharded store's.
+std::string ShardNamespace(const std::string& base, size_t shard,
+                           size_t num_shards);
 
 /// Owns tables and their indexes, and the ER-level metadata that maps the
 /// relational database onto the data-graph model of Section 2.1.

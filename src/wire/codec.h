@@ -22,10 +22,9 @@ namespace wire {
 /// Decoders reject bad magic, unknown versions/kinds, length mismatches,
 /// and trailing payload bytes.
 ///
-/// Encoders always emit kWireVersion; decoders accept every version in
-/// [kMinWireVersion, kWireVersion]. Fields added by a newer version sit at
-/// the payload tail, so an older payload simply ends before them and the
-/// decoder fills the defaults (empty trace context, no spans).
+/// Encoders emit kWireVersion and decoders accept only kWireVersion: a
+/// frame of any other version fails with kUnsupportedVersion, never as
+/// malformed.
 ///
 /// Requests carry predicates as structural trees
 /// (storage::DecodePredicate), re-resolved against the decoding side's
@@ -83,7 +82,6 @@ const char* FrameErrorToString(FrameError error);
 
 /// The decoded fixed-size header of one frame.
 struct FrameHeader {
-  uint8_t version = 0;
   MessageKind kind = MessageKind::kQueryRequest;
   size_t payload_bytes = 0;
   size_t frame_bytes = 0;  // kFrameHeaderBytes + payload_bytes.

@@ -912,7 +912,17 @@ TEST_F(ShardedMutationTest, OverlayMatchesFromScratchAtOneAndFourShards) {
 
 class ServiceMutationTest : public ::testing::Test {
  protected:
-  void SetUp() override { live_ = MakeLiveWorld(); }
+  void SetUp() override {
+    live_ = MakeLiveWorld();
+    // The service serves the world's store as a 1-shard executor.
+    executor_ = std::make_unique<shard::ScatterGatherExecutor>(
+        &live_->db,
+        std::make_shared<shard::ShardedTopologyStore>(
+            std::vector<std::shared_ptr<core::TopologyStore>>{
+                live_->handle->Snapshot()}),
+        live_->schema.get(), live_->view.get(),
+        biozon::MakeBiozonDomainKnowledge(live_->ids));
+  }
 
   engine::TopologyQuery ProteinUnigene() const {
     engine::TopologyQuery q;
@@ -935,12 +945,12 @@ class ServiceMutationTest : public ::testing::Test {
   }
 
   std::unique_ptr<LiveWorld> live_;
+  std::unique_ptr<shard::ScatterGatherExecutor> executor_;
 };
 
 TEST_F(ServiceMutationTest, ApplyMutationsEvictsDirtyPairsAndKeepsCleanOnes) {
-  service::TopologyService svc(live_->engine.get(), &live_->db,
+  service::TopologyService svc(executor_.get(), &live_->db,
                                service::ServiceConfig{});
-  ASSERT_TRUE(svc.AttachLiveStore(live_->schema.get(), live_->view.get()).ok());
   mutation::MutationEngine::Options options;
   options.build.max_path_length = 3;
   ASSERT_TRUE(svc.EnableMutations(options).ok());
@@ -979,7 +989,8 @@ TEST_F(ServiceMutationTest, ApplyMutationsEvictsDirtyPairsAndKeepsCleanOnes) {
   EXPECT_FALSE(pd_fresh.from_cache)
       << "dirty-pair cache entries must be evicted";
   // DNA 215 no longer matches TYPE = mRNA; the live engine agrees.
-  auto direct = live_->engine->Execute(ProteinDnaTyped(), MethodKind::kFullTop);
+  auto direct = executor_->shard_engine(0).Execute(ProteinDnaTyped(),
+                                                   MethodKind::kFullTop);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(pd_fresh.result->entries, direct->entries);
   EXPECT_NE(pd_fresh.result->entries, pd_cold.result->entries)
@@ -990,7 +1001,7 @@ TEST_F(ServiceMutationTest, ApplyMutationsEvictsDirtyPairsAndKeepsCleanOnes) {
 }
 
 TEST_F(ServiceMutationTest, ApplyMutationsRequiresEnableMutations) {
-  service::TopologyService svc(live_->engine.get(), &live_->db,
+  service::TopologyService svc(executor_.get(), &live_->db,
                                service::ServiceConfig{});
   mutation::MutationBatch batch;
   batch.ops = {mutation::RemoveEdge("Uni_contains", 93)};

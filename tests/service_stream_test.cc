@@ -23,6 +23,8 @@
 #include "core/pruner.h"
 #include "engine/engine.h"
 #include "service/service.h"
+#include "shard/scatter_gather.h"
+#include "shard/sharded_store.h"
 #include "wire/message.h"
 
 namespace tsb {
@@ -42,18 +44,26 @@ class StreamFig3Test : public ::testing::Test {
     core::BuildConfig config;
     config.max_path_length = 3;
     ASSERT_TRUE(
-        builder.BuildPair(ids_.protein, ids_.dna, config, &store_).ok());
+        builder.BuildPair(ids_.protein, ids_.dna, config, store_.get()).ok());
     ASSERT_TRUE(
-        builder.BuildPair(ids_.protein, ids_.unigene, config, &store_).ok());
+        builder.BuildPair(ids_.protein, ids_.unigene, config, store_.get())
+            .ok());
     core::PruneConfig prune;
     prune.frequency_threshold = 0;
-    ASSERT_TRUE(core::PruneFrequentTopologies(&db_, &store_, ids_.protein,
-                                              ids_.dna, prune)
+    ASSERT_TRUE(core::PruneFrequentTopologies(&db_, store_.get(),
+                                              ids_.protein, ids_.dna, prune)
                     .ok());
     engine_ = std::make_unique<engine::Engine>(
-        &db_, &store_, schema_.get(), view_.get(),
-        core::ScoreModel(&store_.catalog(),
+        &db_, store_.get(), schema_.get(), view_.get(),
+        core::ScoreModel(&store_->catalog(),
                          biozon::MakeBiozonDomainKnowledge(ids_)));
+    // The service serves the same store as a 1-shard executor; engine_
+    // stays the sequential oracle.
+    executor_ = std::make_unique<shard::ScatterGatherExecutor>(
+        &db_,
+        std::make_shared<shard::ShardedTopologyStore>(
+            std::vector<std::shared_ptr<core::TopologyStore>>{store_}),
+        schema_.get(), view_.get(), biozon::MakeBiozonDomainKnowledge(ids_));
   }
 
   wire::WireRequest Request(uint64_t id, core::RankScheme scheme,
@@ -81,12 +91,14 @@ class StreamFig3Test : public ::testing::Test {
   biozon::BiozonSchema ids_;
   std::unique_ptr<graph::DataGraphView> view_;
   std::unique_ptr<graph::SchemaGraph> schema_;
-  core::TopologyStore store_;
+  std::shared_ptr<core::TopologyStore> store_ =
+      std::make_shared<core::TopologyStore>();
   std::unique_ptr<engine::Engine> engine_;
+  std::unique_ptr<shard::ScatterGatherExecutor> executor_;
 };
 
 TEST_F(StreamFig3Test, SingleSubmitDeliversExactlyOneTerminalFrame) {
-  service::TopologyService svc(engine_.get(), &db_, Config(2));
+  service::TopologyService svc(executor_.get(), &db_, Config(2));
   wire::CollectingSink sink;
   svc.Submit(Request(99, core::RankScheme::kFreq), sink);
   sink.WaitForFrames(1);
@@ -107,7 +119,7 @@ TEST_F(StreamFig3Test, SingleSubmitDeliversExactlyOneTerminalFrame) {
 }
 
 TEST_F(StreamFig3Test, StreamDeliversAllFramesThenExactlyOneEnd) {
-  service::TopologyService svc(engine_.get(), &db_, Config(4));
+  service::TopologyService svc(executor_.get(), &db_, Config(4));
   wire::CollectingSink sink;
 
   std::vector<wire::WireRequest> requests;
@@ -144,7 +156,7 @@ TEST_F(StreamFig3Test, StreamDeliversAllFramesThenExactlyOneEnd) {
 }
 
 TEST_F(StreamFig3Test, EmptyStreamDeliversJustTheEndFrame) {
-  service::TopologyService svc(engine_.get(), &db_, Config(2));
+  service::TopologyService svc(executor_.get(), &db_, Config(2));
   wire::CollectingSink sink;
   uint64_t stream_id = svc.SubmitStream({}, sink);
   auto frames = sink.Frames();  // Delivered inline, no wait needed.
@@ -156,7 +168,7 @@ TEST_F(StreamFig3Test, EmptyStreamDeliversJustTheEndFrame) {
 TEST_F(StreamFig3Test, SinkOutlivesShutdownAndGetsEveryFrame) {
   auto sink = std::make_unique<wire::CollectingSink>();
   {
-    service::TopologyService svc(engine_.get(), &db_, Config(1, false));
+    service::TopologyService svc(executor_.get(), &db_, Config(1, false));
     std::vector<wire::WireRequest> requests;
     for (size_t i = 0; i < 6; ++i) {
       requests.push_back(Request(i, core::RankScheme::kFreq));
@@ -175,7 +187,7 @@ TEST_F(StreamFig3Test, SinkOutlivesShutdownAndGetsEveryFrame) {
 }
 
 TEST_F(StreamFig3Test, SubmitAfterShutdownDeliversShuttingDownFrame) {
-  service::TopologyService svc(engine_.get(), &db_, Config(1));
+  service::TopologyService svc(executor_.get(), &db_, Config(1));
   svc.Shutdown();
   wire::CollectingSink sink;
   svc.Submit(Request(5, core::RankScheme::kFreq), sink);
@@ -218,7 +230,7 @@ class BlockingSink : public wire::StreamSink {
 TEST_F(StreamFig3Test, CancellationShedsQueuedRequestsAndEndsOnce) {
   // One worker, pinned inside the first request's frame delivery, so the
   // whole stream is still queued when we cancel.
-  service::TopologyService svc(engine_.get(), &db_, Config(1, false));
+  service::TopologyService svc(executor_.get(), &db_, Config(1, false));
   BlockingSink blocker;
   svc.Submit(Request(0, core::RankScheme::kFreq), blocker);
   blocker.AwaitEntered();
@@ -253,7 +265,7 @@ TEST_F(StreamFig3Test, InteractiveDrainsBeforeQueuedBatchWork) {
   // One worker, pinned. Fill the queue with batch requests, then submit an
   // interactive one: strict-priority dequeue must complete it before every
   // queued batch request, regardless of arrival order.
-  service::TopologyService svc(engine_.get(), &db_, Config(1, false));
+  service::TopologyService svc(executor_.get(), &db_, Config(1, false));
 
   BlockingSink blocker;
   svc.Submit(Request(0, core::RankScheme::kFreq), blocker);
@@ -332,7 +344,7 @@ TEST_F(StreamFig3Test, InteractiveDrainsBeforeQueuedBatchWork) {
 TEST_F(StreamFig3Test, BatchConcurrencyCapKeepsAWorkerFreeForInteractive) {
   service::ServiceConfig config = Config(2, false);
   config.max_concurrent_batch = 1;
-  service::TopologyService svc(engine_.get(), &db_, config);
+  service::TopologyService svc(executor_.get(), &db_, config);
 
   // Pin worker A inside a batch request's frame delivery: batch_executing_
   // stays 1, so a second batch request must wait even though worker B is
@@ -366,7 +378,7 @@ TEST_F(StreamFig3Test, BatchConcurrencyCapKeepsAWorkerFreeForInteractive) {
 TEST_F(StreamFig3Test, ShutdownFlushesBatchWorkStrandedAtTheCap) {
   service::ServiceConfig config = Config(2, false);
   config.max_concurrent_batch = 1;
-  service::TopologyService svc(engine_.get(), &db_, config);
+  service::TopologyService svc(executor_.get(), &db_, config);
 
   // Pin worker A with a batch request, then queue more batch work: its
   // tokens run on worker B and all retire at the cap. Shutdown must still
@@ -403,7 +415,7 @@ TEST_F(StreamFig3Test, ShutdownFlushesBatchWorkStrandedAtTheCap) {
 TEST_F(StreamFig3Test, ExpiredDeadlinesAreShedWithTheDistinctCode) {
   // One worker blocked by a slow-ish first request; the second request's
   // deadline expires while it waits and it must be shed, not executed.
-  service::TopologyService svc(engine_.get(), &db_, Config(1, false));
+  service::TopologyService svc(executor_.get(), &db_, Config(1, false));
 
   wire::CollectingSink first_sink;
   svc.Submit(Request(1, core::RankScheme::kFreq), first_sink);
@@ -432,7 +444,7 @@ TEST_F(StreamFig3Test, PerClassBoundsRejectIndependently) {
   service::ServiceConfig config = Config(1, false);
   config.max_in_flight = 0;        // Interactive always over the bound.
   config.batch_max_in_flight = 64; // Batch wide open.
-  service::TopologyService svc(engine_.get(), &db_, config);
+  service::TopologyService svc(executor_.get(), &db_, config);
 
   wire::CollectingSink interactive_sink;
   svc.Submit(Request(1, core::RankScheme::kFreq), interactive_sink);
@@ -465,8 +477,7 @@ TEST_F(StreamFig3Test, BatchFloodDoesNotRejectTripleQueries) {
   service::ServiceConfig config = Config(2, false);
   config.max_in_flight = 4;  // Small interactive bound.
   config.max_concurrent_batch = 1;
-  service::TopologyService svc(engine_.get(), &db_, config);
-  svc.EnableTripleQueries(&store_, schema_.get(), view_.get());
+  service::TopologyService svc(executor_.get(), &db_, config);
 
   BlockingSink blocker;
   svc.Submit(Request(0, core::RankScheme::kFreq, MethodKind::kFullTop,
@@ -498,7 +509,7 @@ TEST_F(StreamFig3Test, BatchFloodDoesNotRejectTripleQueries) {
 }
 
 TEST_F(StreamFig3Test, CacheHitsAnswerOnTheCallingThreadWithoutAdmission) {
-  service::TopologyService svc(engine_.get(), &db_, Config(2));
+  service::TopologyService svc(executor_.get(), &db_, Config(2));
   wire::CollectingSink warmup;
   svc.Submit(Request(1, core::RankScheme::kFreq), warmup);
   warmup.WaitForFrames(1);
@@ -518,7 +529,7 @@ TEST_F(StreamFig3Test, LegacyFutureBecomesReadyWithoutGet) {
   // The adapter future must behave like the pre-wire pool-backed one:
   // pollable with wait_for, transitioning to ready on completion (a
   // deferred future would report future_status::deferred forever).
-  service::TopologyService svc(engine_.get(), &db_, Config(2));
+  service::TopologyService svc(executor_.get(), &db_, Config(2));
   auto future = svc.Submit(Request(1, core::RankScheme::kFreq).query,
                            MethodKind::kFullTop);
   auto status = future.wait_for(std::chrono::seconds(30));
@@ -527,7 +538,7 @@ TEST_F(StreamFig3Test, LegacyFutureBecomesReadyWithoutGet) {
 }
 
 TEST_F(StreamFig3Test, LegacyBatchAdaptersMatchTheStreamSurface) {
-  service::TopologyService svc(engine_.get(), &db_, Config(4));
+  service::TopologyService svc(executor_.get(), &db_, Config(4));
 
   std::vector<service::ParsedRequest> batch(3);
   batch[0].query = Request(0, core::RankScheme::kFreq).query;
@@ -552,7 +563,7 @@ TEST_F(StreamFig3Test, LegacyBatchAdaptersMatchTheStreamSurface) {
 }
 
 TEST_F(StreamFig3Test, ConcurrentStreamsKeepFramesOnTheirOwnSinks) {
-  service::TopologyService svc(engine_.get(), &db_, Config(4, false));
+  service::TopologyService svc(executor_.get(), &db_, Config(4, false));
   const size_t kStreams = 6;
   std::vector<std::unique_ptr<wire::CollectingSink>> sinks;
   std::vector<uint64_t> ids;

@@ -23,6 +23,8 @@
 #include "service/request_parser.h"
 #include "service/service.h"
 #include "service/thread_pool.h"
+#include "shard/scatter_gather.h"
+#include "shard/sharded_store.h"
 
 namespace tsb {
 namespace {
@@ -79,32 +81,6 @@ TEST(ThreadPoolTest, TasksRunConcurrently) {
   });
   f1.get();
   f2.get();
-}
-
-// ---------------------------------------------------------------------------
-// LatencyReservoir
-// ---------------------------------------------------------------------------
-
-TEST(LatencyReservoirTest, ExactStatsBelowCapacity) {
-  service::LatencyReservoir reservoir;
-  for (int i = 1; i <= 100; ++i) {
-    reservoir.Record(static_cast<double>(i));
-  }
-  auto s = reservoir.Summarize();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.mean, 50.5, 1e-9);
-  EXPECT_NEAR(s.p50, 50.0, 2.0);
-  EXPECT_NEAR(s.p95, 95.0, 2.0);
-}
-
-TEST(LatencyReservoirTest, CountStaysExactPastCapacity) {
-  service::LatencyReservoir reservoir;
-  for (int i = 0; i < 5000; ++i) reservoir.Record(1.0);
-  auto s = reservoir.Summarize();
-  EXPECT_EQ(s.count, 5000u);
-  EXPECT_DOUBLE_EQ(s.p50, 1.0);
-  EXPECT_DOUBLE_EQ(s.p95, 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,21 +271,29 @@ class ServiceFig3Test : public ::testing::Test {
     core::BuildConfig config;
     config.max_path_length = 3;
     ASSERT_TRUE(
-        builder.BuildPair(ids_.protein, ids_.dna, config, &store_).ok());
-    ASSERT_TRUE(builder.BuildPair(ids_.protein, ids_.unigene, config, &store_)
-                    .ok());
+        builder.BuildPair(ids_.protein, ids_.dna, config, store_.get()).ok());
     ASSERT_TRUE(
-        builder.BuildPair(ids_.unigene, ids_.dna, config, &store_).ok());
+        builder.BuildPair(ids_.protein, ids_.unigene, config, store_.get())
+            .ok());
+    ASSERT_TRUE(
+        builder.BuildPair(ids_.unigene, ids_.dna, config, store_.get()).ok());
     core::PruneConfig prune;
     prune.frequency_threshold = 0;
-    ASSERT_TRUE(core::PruneFrequentTopologies(&db_, &store_, ids_.protein,
-                                              ids_.dna, prune)
+    ASSERT_TRUE(core::PruneFrequentTopologies(&db_, store_.get(),
+                                              ids_.protein, ids_.dna, prune)
                     .ok());
     engine_ = std::make_unique<engine::Engine>(
-        &db_, &store_, schema_.get(), view_.get(),
-        core::ScoreModel(&store_.catalog(),
+        &db_, store_.get(), schema_.get(), view_.get(),
+        core::ScoreModel(&store_->catalog(),
                          biozon::MakeBiozonDomainKnowledge(ids_)));
     engine_->PrepareIndexes("Protein", "DNA");
+    // The service serves the same store as a 1-shard executor; engine_
+    // stays the sequential oracle.
+    executor_ = std::make_unique<shard::ScatterGatherExecutor>(
+        &db_,
+        std::make_shared<shard::ShardedTopologyStore>(
+            std::vector<std::shared_ptr<core::TopologyStore>>{store_}),
+        schema_.get(), view_.get(), biozon::MakeBiozonDomainKnowledge(ids_));
   }
 
   engine::TopologyQuery ExampleQuery(core::RankScheme scheme,
@@ -330,8 +314,10 @@ class ServiceFig3Test : public ::testing::Test {
   biozon::BiozonSchema ids_;
   std::unique_ptr<graph::DataGraphView> view_;
   std::unique_ptr<graph::SchemaGraph> schema_;
-  core::TopologyStore store_;
+  std::shared_ptr<core::TopologyStore> store_ =
+      std::make_shared<core::TopologyStore>();
   std::unique_ptr<engine::Engine> engine_;
+  std::unique_ptr<shard::ScatterGatherExecutor> executor_;
 };
 
 TEST_F(ServiceFig3Test, ConcurrentClientsMatchSequentialExecution) {
@@ -358,7 +344,7 @@ TEST_F(ServiceFig3Test, ConcurrentClientsMatchSequentialExecution) {
 
   service::ServiceConfig config;
   config.num_threads = 8;
-  service::TopologyService svc(engine_.get(), &db_, config);
+  service::TopologyService svc(executor_.get(), &db_, config);
 
   const size_t kThreads = 8;
   const size_t kRepeats = 6;
@@ -400,7 +386,8 @@ TEST_F(ServiceFig3Test, ConcurrentClientsMatchSequentialExecution) {
 }
 
 TEST_F(ServiceFig3Test, CachedResultsAreIdenticalToUncached) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
+  service::TopologyService svc(executor_.get(), &db_,
+                               service::ServiceConfig{});
   auto cold = svc.Execute(ExampleQuery(core::RankScheme::kDomain),
                           MethodKind::kFastTopKEt);
   ASSERT_TRUE(cold.result.ok());
@@ -419,7 +406,8 @@ TEST_F(ServiceFig3Test, CachedResultsAreIdenticalToUncached) {
 }
 
 TEST_F(ServiceFig3Test, SwappedQueryOrderHitsTheSameCacheEntry) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
+  service::TopologyService svc(executor_.get(), &db_,
+                               service::ServiceConfig{});
   auto cold = svc.Execute(ExampleQuery(core::RankScheme::kFreq),
                           MethodKind::kFullTop);
   ASSERT_TRUE(cold.result.ok());
@@ -439,7 +427,8 @@ TEST_F(ServiceFig3Test, SwappedQueryOrderHitsTheSameCacheEntry) {
 }
 
 TEST_F(ServiceFig3Test, InvalidationOnRebuildClearsTheCache) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
+  service::TopologyService svc(executor_.get(), &db_,
+                               service::ServiceConfig{});
   auto first = svc.Execute(ExampleQuery(core::RankScheme::kFreq),
                            MethodKind::kFullTop);
   ASSERT_TRUE(first.result.ok());
@@ -461,7 +450,7 @@ TEST_F(ServiceFig3Test, AdmissionControlRejectsOverload) {
   config.num_threads = 1;
   config.max_in_flight = 0;  // Everything cold is over the bound.
   config.enable_cache = false;
-  service::TopologyService svc(engine_.get(), &db_, config);
+  service::TopologyService svc(executor_.get(), &db_, config);
   auto response = svc.Execute(ExampleQuery(core::RankScheme::kFreq),
                               MethodKind::kFullTop);
   EXPECT_FALSE(response.result.ok());
@@ -470,7 +459,8 @@ TEST_F(ServiceFig3Test, AdmissionControlRejectsOverload) {
 }
 
 TEST_F(ServiceFig3Test, SubmitAfterShutdownFailsCleanly) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
+  service::TopologyService svc(executor_.get(), &db_,
+                               service::ServiceConfig{});
   svc.Shutdown();
   auto response = svc.Execute(ExampleQuery(core::RankScheme::kFreq),
                               MethodKind::kFullTop);
@@ -480,7 +470,8 @@ TEST_F(ServiceFig3Test, SubmitAfterShutdownFailsCleanly) {
 }
 
 TEST_F(ServiceFig3Test, EngineErrorsSurfaceThroughTheService) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
+  service::TopologyService svc(executor_.get(), &db_,
+                               service::ServiceConfig{});
   engine::TopologyQuery bad;
   bad.entity_set1 = "Nope";
   bad.entity_set2 = "DNA";
@@ -495,7 +486,7 @@ TEST_F(ServiceFig3Test, EngineErrorsSurfaceThroughTheService) {
 TEST_F(ServiceFig3Test, BatchAccumulatesStatsWithOperatorPlusEquals) {
   service::ServiceConfig config;
   config.enable_cache = false;
-  service::TopologyService svc(engine_.get(), &db_, config);
+  service::TopologyService svc(executor_.get(), &db_, config);
 
   std::vector<service::ParsedRequest> batch(3);
   batch[0].query = ExampleQuery(core::RankScheme::kFreq);
@@ -521,7 +512,8 @@ TEST_F(ServiceFig3Test, BatchAccumulatesStatsWithOperatorPlusEquals) {
 }
 
 TEST_F(ServiceFig3Test, RepeatedBatchIsServedFromCache) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
+  service::TopologyService svc(executor_.get(), &db_,
+                               service::ServiceConfig{});
   std::vector<service::ParsedRequest> batch(2);
   batch[0].query = ExampleQuery(core::RankScheme::kFreq);
   batch[0].method = MethodKind::kFullTop;
@@ -540,7 +532,8 @@ TEST_F(ServiceFig3Test, RepeatedBatchIsServedFromCache) {
 }
 
 TEST_F(ServiceFig3Test, TextFrontendMatchesHandBuiltQuery) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
+  service::TopologyService svc(executor_.get(), &db_,
+                               service::ServiceConfig{});
   auto parsed = svc.SubmitLine(
                        "TOPK k=10 method=fast-topk-et scheme=domain "
                        "set1=Protein pred1=DESC.ct('enzyme') "
@@ -555,8 +548,8 @@ TEST_F(ServiceFig3Test, TextFrontendMatchesHandBuiltQuery) {
 }
 
 TEST_F(ServiceFig3Test, TripleQueriesAreServedAndCached) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
-  svc.EnableTripleQueries(&store_, schema_.get(), view_.get());
+  service::TopologyService svc(executor_.get(), &db_,
+                               service::ServiceConfig{});
 
   engine::TripleQuery q;
   q.entity_set1 = "Protein";
@@ -586,8 +579,7 @@ TEST_F(ServiceFig3Test, TriplesAndTwoQueriesRunConcurrently) {
   service::ServiceConfig config;
   config.num_threads = 4;
   config.enable_cache = false;
-  service::TopologyService svc(engine_.get(), &db_, config);
-  svc.EnableTripleQueries(&store_, schema_.get(), view_.get());
+  service::TopologyService svc(executor_.get(), &db_, config);
 
   std::atomic<size_t> failures{0};
   std::vector<std::thread> clients;
@@ -617,29 +609,6 @@ TEST_F(ServiceFig3Test, TriplesAndTwoQueriesRunConcurrently) {
   EXPECT_EQ(failures.load(), 0u);
 }
 
-TEST_F(ServiceFig3Test, AttachLiveStoreRejectsLegacyEngines) {
-  // The raw-pointer Engine constructor wraps a caller-owned store; a live
-  // rebuild could never retire it safely, so attaching must fail (and
-  // Rebuild stays unavailable).
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
-  Status attached = svc.AttachLiveStore(schema_.get(), view_.get());
-  EXPECT_EQ(attached.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(svc.Rebuild(service::RebuildOptions{}).status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST_F(ServiceFig3Test, TripleQueriesWithoutBackendFail) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
-  engine::TripleQuery q;
-  q.entity_set1 = "Protein";
-  q.entity_set2 = "Unigene";
-  q.entity_set3 = "DNA";
-  auto response = svc.SubmitTriple(q).get();
-  EXPECT_FALSE(response.result.ok());
-  EXPECT_EQ(response.result.status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
 // ---------------------------------------------------------------------------
 // Live store rebuild (epoch swap behind traffic)
 // ---------------------------------------------------------------------------
@@ -650,8 +619,9 @@ class LiveRebuildTest : public ::testing::Test {
     ids_ = biozon::BuildFigure3Database(&db_);
     view_ = std::make_unique<graph::DataGraphView>(db_);
     schema_ = std::make_unique<graph::SchemaGraph>(db_);
-    // The initial store lives only in the handle: once a rebuild retires
-    // it and the last snapshot drops, its destructor cleans its tables up.
+    // The initial store lives only in the executor's shard handle: once a
+    // rebuild retires it and the last snapshot drops, its destructor cleans
+    // its tables up.
     auto store = std::make_shared<core::TopologyStore>();
     core::TopologyBuilder builder(&db_, schema_.get(), view_.get());
     core::BuildConfig config;
@@ -664,11 +634,11 @@ class LiveRebuildTest : public ::testing::Test {
                                                 key.first, key.second, prune)
                       .ok());
     }
-    handle_ = std::make_shared<core::StoreHandle>(store);
-    engine_ = std::make_unique<engine::Engine>(
-        &db_, handle_, schema_.get(), view_.get(),
-        core::ScoreModel(&store->catalog(),
-                         biozon::MakeBiozonDomainKnowledge(ids_)));
+    executor_ = std::make_unique<shard::ScatterGatherExecutor>(
+        &db_,
+        std::make_shared<shard::ShardedTopologyStore>(
+            std::vector<std::shared_ptr<core::TopologyStore>>{store}),
+        schema_.get(), view_.get(), biozon::MakeBiozonDomainKnowledge(ids_));
   }
 
   engine::TopologyQuery ProteinDnaQuery() const {
@@ -720,23 +690,14 @@ class LiveRebuildTest : public ::testing::Test {
   }
 
   // Declaration order matters for teardown: retired stores drop their
-  // tables from db_ when destroyed, so db_ must outlive engine_ (which
+  // tables from db_ when destroyed, so db_ must outlive executor_ (which
   // holds the last snapshot) — members are destroyed in reverse order.
   storage::Catalog db_;
   biozon::BiozonSchema ids_;
   std::unique_ptr<graph::DataGraphView> view_;
   std::unique_ptr<graph::SchemaGraph> schema_;
-  std::shared_ptr<core::StoreHandle> handle_;
-  std::unique_ptr<engine::Engine> engine_;
+  std::unique_ptr<shard::ScatterGatherExecutor> executor_;
 };
-
-TEST_F(LiveRebuildTest, RebuildRequiresAttachedLiveStore) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
-  service::RebuildOptions options;
-  auto result = svc.Rebuild(options);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-}
 
 TEST_F(LiveRebuildTest, RebuildSwapsEpochBehindLiveTrafficZeroFailures) {
   const std::vector<engine::ResultEntry> pre =
@@ -747,8 +708,7 @@ TEST_F(LiveRebuildTest, RebuildSwapsEpochBehindLiveTrafficZeroFailures) {
 
   service::ServiceConfig config;
   config.num_threads = 4;
-  service::TopologyService svc(engine_.get(), &db_, config);
-  ASSERT_TRUE(svc.AttachLiveStore(schema_.get(), view_.get()).ok());
+  service::TopologyService svc(executor_.get(), &db_, config);
 
   // Sustained concurrent load across the swap: every response must be
   // pre- or post-epoch consistent, never an error, never a mixture.
@@ -815,8 +775,7 @@ TEST_F(LiveRebuildTest, RebuildSwapsEpochBehindLiveTrafficZeroFailures) {
 TEST_F(LiveRebuildTest, TriplesFollowTheLiveEpoch) {
   service::ServiceConfig config;
   config.num_threads = 2;
-  service::TopologyService svc(engine_.get(), &db_, config);
-  ASSERT_TRUE(svc.AttachLiveStore(schema_.get(), view_.get()).ok());
+  service::TopologyService svc(executor_.get(), &db_, config);
 
   engine::TripleQuery q;
   q.entity_set1 = "Protein";
@@ -838,13 +797,13 @@ TEST_F(LiveRebuildTest, TriplesFollowTheLiveEpoch) {
   for (const auto& entry : after.result->entries) {
     EXPECT_LE(entry.tid,
               static_cast<core::Tid>(
-                  handle_->Snapshot()->catalog().size()));
+                  executor_->store().Snapshot(0)->catalog().size()));
   }
 }
 
 TEST_F(LiveRebuildTest, BackToBackRebuildsAdvanceEpochsAndDropOldTables) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
-  ASSERT_TRUE(svc.AttachLiveStore(schema_.get(), view_.get()).ok());
+  service::TopologyService svc(executor_.get(), &db_,
+                               service::ServiceConfig{});
 
   for (uint64_t round = 1; round <= 3; ++round) {
     service::RebuildOptions options;
@@ -935,7 +894,8 @@ TEST_F(ParserFig3Test, RejectsMalformedRequests) {
 }
 
 TEST_F(ParserFig3Test, ParseErrorsComeBackThroughSubmitLine) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
+  service::TopologyService svc(executor_.get(), &db_,
+                               service::ServiceConfig{});
   auto response = svc.SubmitLine("TOPK set1=Protein").get();
   EXPECT_FALSE(response.result.ok());
   EXPECT_EQ(response.result.status().code(), StatusCode::kInvalidArgument);
@@ -946,7 +906,8 @@ TEST_F(ParserFig3Test, ParseErrorsComeBackThroughSubmitLine) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ServiceFig3Test, MetricsTrackPerMethodTraffic) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
+  service::TopologyService svc(executor_.get(), &db_,
+                               service::ServiceConfig{});
   for (int i = 0; i < 3; ++i) {
     auto r = svc.Execute(ExampleQuery(core::RankScheme::kFreq),
                          MethodKind::kFullTop);

@@ -456,11 +456,14 @@ TEST_F(ShardRouterTest, SqlBaselineNeverScatters) {
 // Sharded service: cache, rebuild behind live traffic, async batches
 // ---------------------------------------------------------------------------
 
-class ShardedServiceTest : public ShardFig3Test {
+// Every case runs at N=1 (how a single store is served) and N=4 against
+// the unsharded Engine::Execute oracle.
+class ShardedServiceTest : public ShardFig3Test,
+                           public ::testing::WithParamInterface<size_t> {
  protected:
   void SetUp() override {
     ShardFig3Test::SetUp();
-    executor_ = MakeSharded(4);
+    executor_ = MakeSharded(GetParam());
   }
 
   service::ServiceConfig SvcConfig(size_t threads = 4) const {
@@ -472,9 +475,12 @@ class ShardedServiceTest : public ShardFig3Test {
   std::unique_ptr<shard::ScatterGatherExecutor> executor_;
 };
 
-TEST_F(ShardedServiceTest, ServesIdenticalResultsAndCaches) {
+INSTANTIATE_TEST_SUITE_P(Shards, ShardedServiceTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
+
+TEST_P(ShardedServiceTest, ServesIdenticalResultsAndCaches) {
   service::TopologyService svc(executor_.get(), &db_, SvcConfig());
-  EXPECT_TRUE(svc.sharded());
+  EXPECT_EQ(svc.Metrics().shard_rows.size(), GetParam());
   engine::TopologyQuery q =
       Query("Protein", "DNA", core::RankScheme::kFreq, 10, true);
 
@@ -492,7 +498,7 @@ TEST_F(ShardedServiceTest, ServesIdenticalResultsAndCaches) {
   EXPECT_EQ(warm.result->entries, expected->entries);
 }
 
-TEST_F(ShardedServiceTest, RebuildRollsShardsAndInvalidatesCache) {
+TEST_P(ShardedServiceTest, RebuildRollsShardsAndInvalidatesCache) {
   service::TopologyService svc(executor_.get(), &db_, SvcConfig());
   engine::TopologyQuery q =
       Query("Protein", "DNA", core::RankScheme::kDomain, 10, true);
@@ -506,7 +512,7 @@ TEST_F(ShardedServiceTest, RebuildRollsShardsAndInvalidatesCache) {
   rebuild.prune_threshold = 0;
   auto stats = svc.Rebuild(rebuild);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->shards_swapped, 4u);
+  EXPECT_EQ(stats->shards_swapped, GetParam());
   EXPECT_EQ(stats->pairs_built, store_.pairs().size());
   EXPECT_NE(executor_->store().EpochStamp(), stamp_before);
 
@@ -519,7 +525,7 @@ TEST_F(ShardedServiceTest, RebuildRollsShardsAndInvalidatesCache) {
   EXPECT_TRUE(svc.Execute(q, MethodKind::kFullTopK).from_cache);
 }
 
-TEST_F(ShardedServiceTest, RebuildBehindLiveTrafficLosesNoQueries) {
+TEST_P(ShardedServiceTest, RebuildBehindLiveTrafficLosesNoQueries) {
   service::TopologyService svc(executor_.get(), &db_, SvcConfig(4));
 
   std::vector<engine::TopologyQuery> queries = {
@@ -570,7 +576,7 @@ TEST_F(ShardedServiceTest, RebuildBehindLiveTrafficLosesNoQueries) {
   for (int round = 0; round < 2; ++round) {
     auto stats = svc.Rebuild(rebuild);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->shards_swapped, 4u);
+    EXPECT_EQ(stats->shards_swapped, GetParam());
   }
   stop.store(true, std::memory_order_release);
   for (std::thread& client : clients) client.join();
@@ -580,7 +586,7 @@ TEST_F(ShardedServiceTest, RebuildBehindLiveTrafficLosesNoQueries) {
   EXPECT_GT(served.load(), 0u);
 }
 
-TEST_F(ShardedServiceTest, TripleQueriesFlowThroughShardSet) {
+TEST_P(ShardedServiceTest, TripleQueriesFlowThroughShardSet) {
   service::TopologyService svc(executor_.get(), &db_, SvcConfig());
   engine::TripleQuery triple;
   triple.entity_set1 = "Protein";
@@ -604,7 +610,7 @@ TEST_F(ShardedServiceTest, TripleQueriesFlowThroughShardSet) {
 // Async batch
 // ---------------------------------------------------------------------------
 
-TEST_F(ShardedServiceTest, AsyncBatchDeliversOrderedOutcomeOnce) {
+TEST_P(ShardedServiceTest, AsyncBatchDeliversOrderedOutcomeOnce) {
   service::TopologyService svc(executor_.get(), &db_, SvcConfig());
 
   std::vector<service::ParsedRequest> requests;
@@ -636,7 +642,7 @@ TEST_F(ShardedServiceTest, AsyncBatchDeliversOrderedOutcomeOnce) {
   }
 }
 
-TEST_F(ShardedServiceTest, BlockingBatchDelegatesToAsync) {
+TEST_P(ShardedServiceTest, BlockingBatchDelegatesToAsync) {
   service::TopologyService svc(executor_.get(), &db_, SvcConfig());
   std::vector<service::ParsedRequest> requests(3);
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -658,20 +664,23 @@ TEST_F(ShardedServiceTest, BlockingBatchDelegatesToAsync) {
 }
 
 TEST(AsyncBatchShutdownTest, EmptyBatchAndShutdownStillFireCallback) {
-  // Minimal world: Figure-3 store, unsharded service.
+  // Minimal world: Figure-3 store served as a single shard.
   storage::Catalog db;
   biozon::BiozonSchema ids = biozon::BuildFigure3Database(&db);
   graph::DataGraphView view(db);
   graph::SchemaGraph schema(db);
-  core::TopologyStore store;
+  auto store = std::make_shared<core::TopologyStore>();
   core::TopologyBuilder builder(&db, &schema, &view);
   core::BuildConfig config;
   config.max_path_length = 2;
-  ASSERT_TRUE(builder.BuildPair(ids.protein, ids.dna, config, &store).ok());
-  engine::Engine eng(&db, &store, &schema, &view,
-                     core::ScoreModel(&store.catalog(),
-                                      biozon::MakeBiozonDomainKnowledge(ids)));
-  service::TopologyService svc(&eng, &db, service::ServiceConfig{});
+  ASSERT_TRUE(
+      builder.BuildPair(ids.protein, ids.dna, config, store.get()).ok());
+  shard::ScatterGatherExecutor executor(
+      &db,
+      std::make_shared<shard::ShardedTopologyStore>(
+          std::vector<std::shared_ptr<core::TopologyStore>>{store}),
+      &schema, &view, biozon::MakeBiozonDomainKnowledge(ids));
+  service::TopologyService svc(&executor, &db, service::ServiceConfig{});
 
   int empty_calls = 0;
   svc.ExecuteBatchAsync({}, [&](service::BatchOutcome outcome) {
